@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"skyfaas/internal/cpu"
@@ -35,8 +36,16 @@ type FI struct {
 	dep       *Deployment
 	busy      bool
 	destroyed bool
-	idleGen   uint64 // bumped on every release; validates expiry timers
 	uses      int
+	// armed counts the keep-alive timers scheduled and not yet fired; fresh
+	// counts the newest of them, those armed since the last acquire or
+	// release. Every timer has the same delay (the cloud's KeepAlive), so
+	// timers fire in arming order, and a firing timer is still valid exactly
+	// when every outstanding timer is fresh.
+	armed, fresh int
+	// expire is onExpiry bound once per instance, so arming a timer on
+	// every release allocates nothing.
+	expire func()
 	// cache holds dynamic-function payload hashes already decoded on this
 	// instance (§3.2's per-FI payload cache).
 	cache map[string]struct{}
@@ -105,8 +114,8 @@ func (d *Deployment) vcpus() int {
 	if v < 1 {
 		return 1
 	}
-	if v > 6 {
-		return 6
+	if v > cpu.MaxVCPUs {
+		return cpu.MaxVCPUs
 	}
 	return v
 }
@@ -154,8 +163,9 @@ func newAZ(c *Cloud, region *Region, spec AZSpec) *AZ {
 		n = 1
 	}
 	az.baseHosts = n
+	target := flattenMix(az.targetMix)
 	for i := 0; i < n; i++ {
-		az.addHost(az.drawKind(az.targetMix), cpu.X86, hostFIs)
+		az.addHost(az.draw(&target), cpu.X86, hostFIs)
 	}
 	for i := 0; i < spec.ArmPoolFIs/hostFIs; i++ {
 		az.addHost(cpu.Graviton, cpu.ARM, hostFIs)
@@ -220,7 +230,7 @@ func (az *AZ) TrueMix() map[cpu.Kind]float64 {
 func (az *AZ) addHost(kind cpu.Kind, arch cpu.Arch, slots int) *Host {
 	az.hostSeq++
 	h := &Host{
-		id:    fmt.Sprintf("vm-%s-%d", az.spec.Name, az.hostSeq),
+		id:    seqID("vm-", az.spec.Name, az.hostSeq),
 		kind:  kind,
 		arch:  arch,
 		slots: slots,
@@ -233,12 +243,42 @@ func (az *AZ) addHost(kind cpu.Kind, arch cpu.Arch, slots int) *Host {
 	return h
 }
 
-func (az *AZ) drawKind(mix map[cpu.Kind]float64) cpu.Kind {
-	kinds, weights := mixSlices(mix)
-	if len(kinds) == 0 {
+// seqID formats a zone-scoped identifier, prefix+zone+"-"+seq, with a
+// single allocation (hosts and instances are minted by the thousand).
+func seqID(prefix, zone string, seq int) string {
+	var buf [64]byte
+	b := append(buf[:0], prefix...)
+	b = append(b, zone...)
+	b = append(b, '-')
+	return string(strconv.AppendInt(b, int64(seq), 10))
+}
+
+// kindDraw is a CPU mix flattened for weighted draws: the kinds with a
+// positive share in catalog order, in fixed arrays so that drawing one kind
+// per provisioned host allocates nothing.
+type kindDraw struct {
+	kinds   [cpu.NumKinds]cpu.Kind
+	weights [cpu.NumKinds]float64
+	n       int
+}
+
+func flattenMix(mix map[cpu.Kind]float64) kindDraw {
+	var d kindDraw
+	for k := cpu.Xeon25; k.Valid(); k++ {
+		if w := mix[k]; w > 0 {
+			d.kinds[d.n], d.weights[d.n] = k, w
+			d.n++
+		}
+	}
+	return d
+}
+
+// draw picks a kind from d with the zone's stream (Xeon25 for an empty mix).
+func (az *AZ) draw(d *kindDraw) cpu.Kind {
+	if d.n == 0 {
 		return cpu.Xeon25
 	}
-	return kinds[az.rand.WeightedChoice(weights)]
+	return d.kinds[az.rand.WeightedChoice(d.weights[:d.n])]
 }
 
 // deploy registers a function in this zone.
@@ -277,7 +317,7 @@ func (az *AZ) acquireFI(dep *Deployment) (*FI, bool, error) {
 			continue
 		}
 		fi.busy = true
-		fi.idleGen++
+		fi.touch()
 		return fi, false, nil
 	}
 	host := az.placeHost(dep.arch)
@@ -298,12 +338,14 @@ func (az *AZ) provisionFI(dep *Deployment, host *Host) *FI {
 	dep.live++
 	az.m.liveFIs.Set(float64(az.liveFIs))
 	az.fiSeq++
-	return &FI{
-		id:   fmt.Sprintf("fi-%s-%d", az.spec.Name, az.fiSeq),
+	fi := &FI{
+		id:   seqID("fi-", az.spec.Name, az.fiSeq),
 		host: host,
 		dep:  dep,
 		busy: true,
 	}
+	fi.expire = fi.onExpiry
+	return fi
 }
 
 // placeHost picks the host for a new instance with power-of-k-choices
@@ -353,29 +395,42 @@ func (az *AZ) releaseFI(fi *FI) {
 	}
 	fi.busy = false
 	fi.uses++
-	fi.idleGen++
+	fi.touch()
 	fi.dep.warm = append(fi.dep.warm, fi)
 	az.armExpiry(fi)
 }
 
-// armExpiry schedules the keep-alive reaping of an idle instance, validated
-// by the idleGen captured now: any acquire before the timer fires bumps the
-// generation and voids it. An instance held by the deployment's warm-pool
-// floor is left alive *without* re-arming — it becomes timerless, so a
-// drained event queue can terminate; SetWarmFloor re-arms every idle
-// instance when the floor changes, which is what eventually reaps the
-// excess after a floor is lowered.
+// touch voids every keep-alive timer armed so far; acquire and release
+// call it, so a timer only reaps an instance left idle since its arming.
+func (fi *FI) touch() { fi.fresh = 0 }
+
+// armExpiry schedules the keep-alive reaping of an idle instance. Any
+// acquire or release before the timer fires voids it (see FI.armed). An
+// instance held by the deployment's warm-pool floor is left alive
+// *without* re-arming — it becomes timerless, so a drained event queue can
+// terminate; SetWarmFloor re-arms every idle instance when the floor
+// changes, which is what eventually reaps the excess after a floor is
+// lowered.
 func (az *AZ) armExpiry(fi *FI) {
-	gen := fi.idleGen
-	az.env.Schedule(az.cloud.opts.KeepAlive, func() {
-		if fi.destroyed || fi.busy || fi.idleGen != gen {
-			return
-		}
-		if fi.dep.floor > 0 && fi.dep.warmIdle() <= fi.dep.floor {
-			return
-		}
-		az.destroyFI(fi)
-	})
+	fi.armed++
+	fi.fresh++
+	az.env.Schedule(az.cloud.opts.KeepAlive, fi.expire)
+}
+
+// onExpiry fires the oldest outstanding keep-alive timer of fi.
+func (fi *FI) onExpiry() {
+	valid := fi.fresh == fi.armed
+	fi.armed--
+	if valid {
+		fi.fresh--
+	}
+	if fi.destroyed || fi.busy || !valid {
+		return
+	}
+	if fi.dep.floor > 0 && fi.dep.warmIdle() <= fi.dep.floor {
+		return
+	}
+	fi.dep.az.destroyFI(fi)
 }
 
 func (az *AZ) destroyFI(fi *FI) {
@@ -445,10 +500,11 @@ func (az *AZ) excursion() {
 		kind cpu.Kind
 	}
 	var swapped []swap
+	draw := flattenMix(perturbed)
 	for _, h := range az.hosts {
 		if h.used == 0 && az.rand.Bool(0.35) {
 			swapped = append(swapped, swap{host: h, kind: h.kind})
-			h.kind = az.drawKind(perturbed)
+			h.kind = az.draw(&draw)
 		}
 	}
 	az.env.Schedule(55*time.Minute, func() {
@@ -504,9 +560,10 @@ func (az *AZ) replaceIdleHostsFrom(frac float64, mix map[cpu.Kind]float64) {
 	if frac > 1 {
 		frac = 1
 	}
+	draw := flattenMix(mix)
 	for _, h := range az.hosts {
 		if h.used == 0 && az.rand.Bool(frac) {
-			h.kind = az.drawKind(mix)
+			h.kind = az.draw(&draw)
 		}
 	}
 }
@@ -517,8 +574,9 @@ func (az *AZ) jitterCapacity() {
 		target = 1
 	}
 	hostFIs := az.spec.hostFIs()
+	draw := flattenMix(az.targetMix)
 	for len(az.hosts) < target {
-		az.addHost(az.drawKind(az.targetMix), cpu.X86, hostFIs)
+		az.addHost(az.draw(&draw), cpu.X86, hostFIs)
 	}
 	// Shrink by removing empty hosts only.
 	for i := len(az.hosts) - 1; i >= 0 && len(az.hosts) > target; i-- {
@@ -548,8 +606,9 @@ func (az *AZ) maybeScaleUp() {
 	}
 	hostFIs := az.spec.hostFIs()
 	az.env.Schedule(az.cloud.opts.ScaleUpDelay, func() {
+		draw := flattenMix(mix)
 		for i := 0; i < count; i++ {
-			az.addHost(az.drawKind(mix), cpu.X86, hostFIs)
+			az.addHost(az.draw(&draw), cpu.X86, hostFIs)
 		}
 	})
 }
@@ -574,19 +633,4 @@ func normalizeMix(mix map[cpu.Kind]float64) map[cpu.Kind]float64 {
 		}
 	}
 	return out
-}
-
-// mixSlices flattens a mix into parallel slices with a deterministic order.
-func mixSlices(mix map[cpu.Kind]float64) ([]cpu.Kind, []float64) {
-	kinds := make([]cpu.Kind, 0, len(mix))
-	for _, k := range cpu.Kinds() {
-		if mix[k] > 0 {
-			kinds = append(kinds, k)
-		}
-	}
-	weights := make([]float64, len(kinds))
-	for i, k := range kinds {
-		weights[i] = mix[k]
-	}
-	return kinds, weights
 }

@@ -381,18 +381,6 @@ type Response struct {
 // OK reports success.
 func (r Response) OK() bool { return r.Err == nil }
 
-// call pairs a request with its completion callback while in flight.
-type call struct {
-	req  Request
-	done func(Response)
-	// env is the caller's environment: the response is delivered (and
-	// OnResponse observed) there.
-	env *sim.Env
-	// oneWay is the base network one-way latency drawn at send time; any
-	// fault-injected extra RTT is applied on the zone's own shard.
-	oneWay time.Duration
-}
-
 // Invoke performs a blocking invocation from a client or handler process.
 func (c *Cloud) Invoke(p *sim.Proc, req Request) Response {
 	ev := sim.NewEvent(p.Env())
@@ -412,30 +400,6 @@ func (c *Cloud) StartInvoke(req Request, done func(Response)) {
 	c.StartInvokeFrom(c.env, req, done)
 }
 
-// StartInvokeFrom is StartInvoke for a caller living on a specific shard:
-// the request crosses from the caller's env to the zone's shard under the
-// network latency, and the response is delivered back on from.
-func (c *Cloud) StartInvokeFrom(from *sim.Env, req Request, done func(Response)) {
-	sent := from.Now()
-	az, ok := c.azBy[req.AZ]
-	if !ok {
-		// No such zone: bounce at the provider edge after an intra-cloud
-		// round trip, entirely on the caller's shard.
-		oneWay := c.opts.IntraCloudRTT / 2
-		from.Schedule(oneWay, func() {
-			resp := Response{Err: fmt.Errorf("%w: AZ %q", ErrNoSuchDeployment, req.AZ), Sent: sent}
-			if c.opts.OnResponse != nil {
-				c.opts.OnResponse(req, resp)
-			}
-			from.Schedule(oneWay, func() { done(resp) })
-		})
-		return
-	}
-	oneWay := c.baseOneWay(from, req, az)
-	cl := call{req: req, done: done, env: from, oneWay: oneWay}
-	from.SendTo(az.env, oneWay, func() { c.arrive(cl, sent, az) })
-}
-
 // baseOneWay is the fault-free one-way network latency from the caller to
 // the zone. Jitter draws come from the caller shard's own stream.
 func (c *Cloud) baseOneWay(from *sim.Env, req Request, az *AZ) time.Duration {
@@ -444,165 +408,6 @@ func (c *Cloud) baseOneWay(from *sim.Env, req Request, az *AZ) time.Duration {
 	}
 	latRand := c.latRands[from.Shard()]
 	return c.opts.Latency.RTT(*req.ClientLoc, az.region.spec.Loc, latRand) / 2
-}
-
-// respond ships resp back to the caller's shard. The zone's current
-// fault-injected extra RTT is added to the return leg; OnResponse observes
-// the response at delivery, on the caller's shard, so observation order is
-// the caller's deterministic event order.
-func (c *Cloud) respond(cl call, az *AZ, resp Response) {
-	back := cl.oneWay + az.fault.extraRTT/2
-	az.env.SendTo(cl.env, back, func() {
-		if c.opts.OnResponse != nil {
-			c.opts.OnResponse(cl.req, resp)
-		}
-		cl.done(resp)
-	})
-}
-
-// arrive runs on the zone's shard when the request reaches the region edge.
-// Fault-injected extra RTT delays processing here — on the zone's side —
-// so the fault state is only ever read by its owning shard.
-func (c *Cloud) arrive(cl call, sent time.Time, az *AZ) {
-	if extra := az.fault.extraRTT / 2; extra > 0 {
-		az.env.Schedule(extra, func() { c.process(cl, sent, az) })
-		return
-	}
-	c.process(cl, sent, az)
-}
-
-func (c *Cloud) process(cl call, sent time.Time, az *AZ) {
-	req := cl.req
-	az.m.invocations.Inc()
-	if err := az.rejectChaos(); err != nil {
-		c.respond(cl, az, Response{Err: err, Sent: sent})
-		return
-	}
-	dep, ok := az.deployments[req.Function]
-	if !ok {
-		az.m.failBadReq.Inc()
-		c.respond(cl, az, Response{Err: fmt.Errorf("%w: %s/%s", ErrNoSuchDeployment, req.AZ, req.Function), Sent: sent})
-		return
-	}
-	behavior := dep.behavior
-	if req.Work != nil {
-		if !dep.dynamic {
-			az.m.failBadReq.Inc()
-			c.respond(cl, az, Response{Err: fmt.Errorf("%w: work override on non-dynamic deployment", ErrBadRequest), Sent: sent})
-			return
-		}
-		behavior = req.Work
-	}
-	if behavior == nil {
-		az.m.failBadReq.Inc()
-		c.respond(cl, az, Response{Err: fmt.Errorf("%w: deployment has no behavior", ErrBadRequest), Sent: sent})
-		return
-	}
-
-	if az.region.inflight[req.Account] >= c.opts.Quota {
-		az.m.failThrottled.Inc()
-		c.respond(cl, az, Response{Err: ErrThrottled, Sent: sent})
-		return
-	}
-	fi, cold, err := az.acquireFI(dep)
-	if err != nil {
-		az.m.failSaturated.Inc()
-		c.respond(cl, az, Response{Err: err, Sent: sent})
-		return
-	}
-	if cold {
-		az.m.coldStarts.Inc()
-	}
-	az.region.inflight[req.Account]++
-
-	initDelay := time.Duration(c.opts.OverheadMS * float64(time.Millisecond) / 2)
-	if cold {
-		ms := az.rand.LogNorm(0, c.opts.ColdStartSigma) * c.opts.ColdStartMS * az.fault.coldStartFactor()
-		// Init runs on the CPU share the memory setting grants, so
-		// low-memory deployments cold-start slower (this is why Fig. 3's
-		// smaller memory settings need longer sleeps for full coverage).
-		ms *= initMemoryFactor(dep.memoryMB)
-		az.m.coldStartMS.Observe(ms)
-		initDelay += time.Duration(ms * float64(time.Millisecond))
-	}
-
-	cached := false
-	if req.PayloadHash != "" {
-		cached = fi.cache != nil && hasHash(fi.cache, req.PayloadHash)
-		if !cached {
-			if fi.cache == nil {
-				fi.cache = make(map[string]struct{})
-			}
-			fi.cache[req.PayloadHash] = struct{}{}
-		}
-	}
-
-	finish := func(started time.Time, value any, handlerErr error) {
-		ended := az.env.Now()
-		billedMS := float64(ended.Sub(started)) / float64(time.Millisecond)
-		billedMS += c.opts.OverheadMS
-		price := c.prices[az.region.spec.Provider]
-		cost := price.Cost(dep.memoryMB, billedMS)
-		c.meter.ChargeIn(req.Account, az.region.spec.Name, cost)
-		az.region.inflight[req.Account]--
-		az.releaseFI(fi)
-
-		profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.id, fi.host.id, cold, billedMS)
-		respErr := handlerErr
-		if respErr == nil && perr != nil {
-			respErr = perr
-		}
-		if respErr != nil {
-			az.m.failHandler.Inc()
-		} else {
-			az.m.billedMS.Observe(billedMS)
-		}
-		c.respond(cl, az, Response{
-			Err:           respErr,
-			FI:            fi.id,
-			Host:          fi.host.id,
-			CPU:           profile.Kind,
-			Cold:          cold,
-			PayloadCached: cached,
-			Sent:          sent,
-			Started:       started,
-			Ended:         ended,
-			BilledMS:      billedMS,
-			CostUSD:       cost,
-			Profile:       profile,
-			Value:         value,
-		})
-	}
-
-	az.env.Schedule(initDelay, func() {
-		started := az.env.Now()
-		switch b := behavior.(type) {
-		case SleepBehavior:
-			az.env.Schedule(b.D, func() { finish(started, nil, nil) })
-		case WorkBehavior:
-			dur := c.modelRuntime(az, dep, fi.host, b)
-			az.env.Schedule(dur, func() { finish(started, nil, nil) })
-		case ProbeBehavior:
-			if c.runProbe(cl, sent, az, dep, fi, cold, cached, started, b) {
-				return // declined: probe path owns response and release
-			}
-			dur := c.modelRuntime(az, dep, fi.host, b.Work)
-			extra := time.Duration(probeDecisionMS * float64(time.Millisecond))
-			az.env.Schedule(dur+extra, func() {
-				finish(started, ProbeOutcome{Ran: true, RuntimeMS: float64(dur) / float64(time.Millisecond)}, nil)
-			})
-		case HandlerBehavior:
-			ctx := &Ctx{cloud: c, az: az, dep: dep, fi: fi, cold: cold}
-			az.env.Go("handler/"+dep.name, func(p *sim.Proc) error {
-				ctx.proc = p
-				value, herr := b.Fn(ctx, req)
-				finish(started, value, herr)
-				return nil
-			})
-		default:
-			finish(started, nil, fmt.Errorf("%w: unknown behavior %T", ErrBadRequest, behavior))
-		}
-	})
 }
 
 func hasHash(set map[string]struct{}, h string) bool {

@@ -135,7 +135,7 @@ func (az *AZ) PreWarm(fn string, n int, account string) (int, float64, error) {
 				return
 			}
 			fi.busy = false
-			fi.idleGen++
+			fi.touch()
 			fi.dep.warm = append(fi.dep.warm, fi)
 			az.armExpiry(fi)
 		})
@@ -146,7 +146,7 @@ func (az *AZ) PreWarm(fn string, n int, account string) (int, float64, error) {
 // SetWarmFloor sets the deployment's warm-pool floor: keep-alive expiry
 // holds up to n idle instances alive instead of reaping them. Every idle
 // instance is re-armed so a lowered floor reaps the excess after one
-// keep-alive window (duplicate timers are voided by the idleGen check).
+// keep-alive window (a timer voided by a later acquire or release reaps nothing).
 // Must run on the zone's shard.
 func (az *AZ) SetWarmFloor(fn string, n int) error {
 	dep, ok := az.deployments[fn]

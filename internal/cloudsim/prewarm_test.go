@@ -12,7 +12,7 @@ import (
 
 // The warm-pool actuator's core contract: a pre-warmed FI is
 // indistinguishable from an organically warmed one. These tests pin the
-// lifecycle invariants — keep-alive reaping with idleGen validation, floor
+// lifecycle invariants — keep-alive reaping voided by reuse, floor
 // retention, idle-host redraw protection, and billing attribution.
 
 func TestPreWarmServesWarmRequests(t *testing.T) {
@@ -65,7 +65,7 @@ func TestPreWarmedObeyKeepAliveReaping(t *testing.T) {
 			t.Errorf("PreWarm: %v", err)
 		}
 	})
-	// One instance is re-used just before expiry: its idleGen bump voids
+	// One instance is re-used just before expiry: the acquire voids
 	// the pending timer exactly as it does for an organically warmed FI,
 	// and release re-arms from the release time.
 	env.Go("client", func(p *sim.Proc) error {

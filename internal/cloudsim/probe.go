@@ -53,13 +53,12 @@ type ProbeOutcome struct {
 // probeDecisionMS is the time the in-function CPU check takes.
 const probeDecisionMS = 2
 
-// runProbe handles ProbeBehavior execution: it is invoked from the arrive
-// path once the instance is initialized. It returns true when it fully
-// handled the request (decline path), false when the caller should run the
-// workload normally.
-func (c *Cloud) runProbe(cl call, sent time.Time, az *AZ,
-	dep *Deployment, fi *FI, cold, cached bool, started time.Time,
-	b ProbeBehavior) bool {
+// probeDeclines runs ProbeBehavior's CPU check once the instance is
+// initialized. When the CPU is banned it takes over the request (respond
+// after the decision, hold and then release or tear down the instance) and
+// returns true; otherwise the caller runs the workload.
+func (inv *invocation) probeDeclines(b ProbeBehavior) bool {
+	c, az, dep, fi := inv.c, inv.az, inv.dep, inv.fi
 	// The in-function check reads cpuinfo, like the routing logic the
 	// paper bakes into its dynamic functions.
 	kind, _, err := cpu.ParseCPUInfo(cpu.CPUInfo(fi.host.kind, dep.vcpus()))
@@ -69,32 +68,18 @@ func (c *Cloud) runProbe(cl call, sent time.Time, az *AZ,
 	holdMS := b.holdMS()
 	price := c.prices[az.region.spec.Provider]
 	cost := price.Cost(dep.memoryMB, holdMS)
-	c.meter.ChargeIn(cl.req.Account, az.region.spec.Name, cost)
+	c.meter.ChargeIn(inv.req.Account, az.region.spec.Name, cost)
 
 	// Respond as soon as the decision is made so the caller can reissue...
-	az.env.Schedule(time.Duration(probeDecisionMS*float64(time.Millisecond)), func() {
-		profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, dep.vcpus()), fi.id, fi.host.id, cold, holdMS)
-		c.respond(cl, az, Response{
-			Err:           perr,
-			FI:            fi.id,
-			Host:          fi.host.id,
-			CPU:           kind,
-			Cold:          cold,
-			PayloadCached: cached,
-			Sent:          sent,
-			Started:       started,
-			Ended:         az.env.Now(),
-			BilledMS:      holdMS,
-			CostUSD:       cost,
-			Profile:       profile,
-			Value:         ProbeOutcome{Ran: false},
-		})
-	})
+	inv.setResponse(Response{CPU: kind, BilledMS: holdMS, CostUSD: cost, Value: ProbeOutcome{Ran: false}})
+	inv.stage = stageDeclined
+	az.env.Schedule(time.Duration(probeDecisionMS*float64(time.Millisecond)), inv.step)
 	// ...but hold the instance (and the quota slot) for the full,
 	// billed hold so the reissued request lands elsewhere. Afterwards the
 	// instance self-terminates unless KeepOnDecline is set.
+	account := inv.req.Account
 	az.env.Schedule(time.Duration(holdMS*float64(time.Millisecond)), func() {
-		az.region.inflight[cl.req.Account]--
+		az.region.inflight[account]--
 		if b.KeepOnDecline {
 			az.releaseFI(fi)
 		} else {
@@ -102,4 +87,16 @@ func (c *Cloud) runProbe(cl call, sent time.Time, az *AZ,
 		}
 	})
 	return true
+}
+
+// declined sends a declining probe's response; probeDeclines already set
+// its CPU, billing, and outcome.
+func (inv *invocation) declined() {
+	fi, r := inv.fi, *inv.resp
+	profile, perr := saaf.Collect(cpu.CPUInfo(fi.host.kind, inv.dep.vcpus()), fi.id, fi.host.id, inv.cold, r.BilledMS)
+	r.Err, r.FI, r.Host = perr, fi.id, fi.host.id
+	r.Cold, r.PayloadCached = inv.cold, inv.cached
+	r.Sent, r.Started, r.Ended = inv.sent, inv.started, inv.az.env.Now()
+	r.Profile = profile
+	inv.respond(r)
 }

@@ -5,9 +5,16 @@
 // The catalog is the ground truth the rest of the system must *discover*:
 // only the saaf profiler is allowed to look at a host's cpuinfo, exactly as
 // the real SAAF tool infers hardware from inside a function instance.
+//
+// Every simulated invocation renders and parses cpuinfo once, so both sides
+// are allocation-free (//lint:hotpath): the catalog is static, so CPUInfo
+// serves the text for every (kind, vCPUs) a deployment can be granted from
+// a table rendered at init, and ParseCPUInfo walks the text in place and
+// maps the model name back through a reverse index.
 package cpu
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -52,13 +59,14 @@ const (
 	DOXeon26                     // Intel Xeon @ 2.60GHz (DigitalOcean Functions)
 	DOXeon27                     // Intel Xeon @ 2.70GHz (DigitalOcean Functions)
 
-	numKinds = int(DOXeon27)
+	// NumKinds is the catalog size; the kinds are 1..NumKinds.
+	NumKinds = int(DOXeon27)
 )
 
 // Kinds lists every catalogued processor in a stable order.
 func Kinds() []Kind {
-	out := make([]Kind, 0, numKinds)
-	for k := Xeon25; int(k) <= numKinds; k++ {
+	out := make([]Kind, 0, NumKinds)
+	for k := Xeon25; int(k) <= NumKinds; k++ {
 		out = append(out, k)
 	}
 	return out
@@ -73,7 +81,8 @@ type Info struct {
 	Arch     Arch
 }
 
-var catalog = map[Kind]Info{
+// catalog is indexed by Kind; index 0 (no kind) is the zero Info.
+var catalog = [NumKinds + 1]Info{
 	Xeon25:       {Xeon25, "GenuineIntel", "Intel(R) Xeon(R) Processor @ 2.50GHz", 2.50, X86},
 	Xeon29:       {Xeon29, "GenuineIntel", "Intel(R) Xeon(R) Processor @ 2.90GHz", 2.90, X86},
 	Xeon30:       {Xeon30, "GenuineIntel", "Intel(R) Xeon(R) Processor @ 3.00GHz", 3.00, X86},
@@ -85,26 +94,36 @@ var catalog = map[Kind]Info{
 	DOXeon27:     {DOXeon27, "GenuineIntel", "Intel(R) Xeon(R) CPU @ 2.70GHz", 2.70, X86},
 }
 
+// byModel is the reverse index of catalog: model-name string to kind.
+var byModel = func() map[string]Kind {
+	m := make(map[string]Kind, NumKinds)
+	for k := Xeon25; int(k) <= NumKinds; k++ {
+		m[catalog[k].Model] = k
+	}
+	return m
+}()
+
 // Lookup returns the catalog entry for k.
 func Lookup(k Kind) (Info, bool) {
-	info, ok := catalog[k]
-	return info, ok
+	if !k.Valid() {
+		return Info{}, false
+	}
+	return catalog[k], true
 }
 
 // MustLookup returns the catalog entry for k and panics if k is not
 // catalogued; use only with compile-time-known kinds.
 func MustLookup(k Kind) Info {
-	info, ok := catalog[k]
-	if !ok {
-		panic(fmt.Sprintf("cpu: unknown kind %d", int(k)))
+	if !k.Valid() {
+		panic(fmt.Sprintf("cpu: unknown kind %d", int(k))) //lint:allow hotalloc -- unreachable for kinds a parse returned; panics on programmer error
 	}
-	return info
+	return catalog[k]
 }
 
 // String returns a short stable label used in tables and figures,
 // e.g. "Xeon 2.50GHz" or "AMD EPYC".
 func (k Kind) String() string {
-	info, ok := catalog[k]
+	info, ok := Lookup(k)
 	if !ok {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -120,15 +139,44 @@ func (k Kind) String() string {
 
 // Valid reports whether k is a catalogued processor kind.
 func (k Kind) Valid() bool {
-	_, ok := catalog[k]
-	return ok
+	return k >= Xeon25 && int(k) <= NumKinds
 }
+
+// MaxVCPUs is the most vCPUs any platform memory setting grants a guest
+// (Lambda's cap), and so the extent of CPUInfo's memo table.
+const MaxVCPUs = 6
+
+// rendered memoizes CPUInfo for every catalogued kind and 1..MaxVCPUs
+// vCPUs; the catalog is static, so the text never changes.
+var rendered = func() (t [NumKinds + 1][MaxVCPUs + 1]string) {
+	for k := Xeon25; int(k) <= NumKinds; k++ {
+		for v := 1; v <= MaxVCPUs; v++ {
+			t[k][v] = renderCPUInfo(k, v)
+		}
+	}
+	return t
+}()
 
 // CPUInfo renders the /proc/cpuinfo content a guest with vcpus virtual CPUs
 // would observe on a host backed by k. The format carries the fields the
-// saaf profiler inspects (vendor_id, model name, cpu MHz).
+// saaf profiler inspects (vendor_id, model name, cpu MHz). Counts below 1
+// are clamped to 1; catalogued kinds at up to MaxVCPUs vCPUs are served
+// from the memo table without allocating.
+//
+//lint:hotpath
 func CPUInfo(k Kind, vcpus int) string {
-	info, ok := catalog[k]
+	if vcpus < 1 {
+		vcpus = 1
+	}
+	if k.Valid() && vcpus <= MaxVCPUs {
+		return rendered[k][vcpus]
+	}
+	return renderCPUInfo(k, vcpus) //lint:allow hotalloc -- unknown kind or a vCPU count past the memo table: rendered on demand
+}
+
+// renderCPUInfo is the formatter behind CPUInfo and its memo table.
+func renderCPUInfo(k Kind, vcpus int) string {
+	info, ok := Lookup(k)
 	if !ok {
 		return ""
 	}
@@ -146,38 +194,48 @@ func CPUInfo(k Kind, vcpus int) string {
 	return b.String()
 }
 
+// errNoModel reports cpuinfo text without a usable "model name" line.
+var errNoModel = errors.New("cpu: no model name in cpuinfo")
+
 // ParseCPUInfo infers the processor kind from a /proc/cpuinfo dump, the way
 // SAAF does from inside a function instance. It returns the kind and the
-// number of processors listed.
+// number of processors listed. Lines are walked in place (no split), so a
+// successful parse does not allocate.
+//
+//lint:hotpath
 func ParseCPUInfo(cpuinfo string) (Kind, int, error) {
 	var model string
 	procs := 0
-	for _, line := range strings.Split(cpuinfo, "\n") {
+	for rest, more := cpuinfo, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
 		switch {
 		case strings.HasPrefix(line, "processor"):
 			procs++
 		case strings.HasPrefix(line, "model name") && model == "":
-			if _, rest, ok := strings.Cut(line, ":"); ok {
-				model = strings.TrimSpace(rest)
+			if _, value, ok := strings.Cut(line, ":"); ok {
+				model = strings.TrimSpace(value)
 			}
 		}
 	}
 	if model == "" {
-		return 0, 0, fmt.Errorf("cpu: no model name in cpuinfo")
+		return 0, 0, errNoModel
 	}
-	k, err := FromModel(model)
-	if err != nil {
-		return 0, 0, err
+	k, ok := byModel[model]
+	if !ok {
+		return 0, 0, unknownModel(model) //lint:allow hotalloc -- error branch: the model is not catalogued
 	}
 	return k, procs, nil
 }
 
 // FromModel maps a cpuinfo model-name string back to a catalogued kind.
 func FromModel(model string) (Kind, error) {
-	for k, info := range catalog {
-		if info.Model == model {
-			return k, nil
-		}
+	if k, ok := byModel[model]; ok {
+		return k, nil
 	}
-	return 0, fmt.Errorf("cpu: unknown model %q", model)
+	return 0, unknownModel(model)
+}
+
+func unknownModel(model string) error {
+	return fmt.Errorf("cpu: unknown model %q", model)
 }

@@ -7,8 +7,8 @@ import (
 
 func TestKindsCoversCatalog(t *testing.T) {
 	ks := Kinds()
-	if len(ks) != numKinds {
-		t.Fatalf("Kinds() returned %d entries, want %d", len(ks), numKinds)
+	if len(ks) != NumKinds {
+		t.Fatalf("Kinds() returned %d entries, want %d", len(ks), NumKinds)
 	}
 	for _, k := range ks {
 		if !k.Valid() {

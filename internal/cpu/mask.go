@@ -29,7 +29,7 @@ func MaskOfSet(set map[Kind]bool) Mask {
 
 // Add returns m with k set. Kinds outside the catalog are ignored.
 func (m Mask) Add(k Kind) Mask {
-	if k < Xeon25 || int(k) > numKinds {
+	if !k.Valid() {
 		return m
 	}
 	return m | 1<<uint(k-1)
@@ -37,7 +37,7 @@ func (m Mask) Add(k Kind) Mask {
 
 // Has reports whether k is in the mask.
 func (m Mask) Has(k Kind) bool {
-	if k < Xeon25 || int(k) > numKinds {
+	if !k.Valid() {
 		return false
 	}
 	return m&(1<<uint(k-1)) != 0
@@ -63,7 +63,7 @@ func (m Mask) Set() map[Kind]bool {
 		return nil
 	}
 	out := make(map[Kind]bool, m.Count())
-	for k := Xeon25; int(k) <= numKinds; k++ {
+	for k := Xeon25; int(k) <= NumKinds; k++ {
 		if m.Has(k) {
 			out[k] = true
 		}

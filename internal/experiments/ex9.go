@@ -308,7 +308,9 @@ const (
 // startZoneLoad launches the zone's worker chains: self-sustaining
 // invocation loops that keep n invocations flowing with a jittered
 // inter-arrival gap. Everything here runs on the zone's shard; only the
-// cross-region steps leave it.
+// cross-region steps leave it. The loop allocates nothing per invocation:
+// the boxed behavior and the two callbacks are built once per zone and
+// shared by its workers, which carry no state of their own.
 func startZoneLoad(cloud *cloudsim.Cloud, ch *meshChain, workers, n, crossEvery int) {
 	if n <= 0 {
 		return
@@ -316,9 +318,35 @@ func startZoneLoad(cloud *cloudsim.Cloud, ch *meshChain, workers, n, crossEvery 
 	if workers > n {
 		workers = n
 	}
+	var work cloudsim.Behavior = cloudsim.SleepBehavior{D: 15 * time.Millisecond}
 	remaining := n
-	var step func(w int)
-	step = func(w int) {
+	var step func()
+	done := func(resp cloudsim.Response) {
+		// Fold the response: FNV-1a over the identifying fields keeps the
+		// checksum sensitive to placement, billing, and timing alike.
+		// Hand-rolled (no fmt, no hash.Hash) — this runs once per
+		// invocation and must stay off the allocator.
+		h := uint64(fnvOffset)
+		for i := 0; i < len(resp.FI); i++ {
+			h = (h ^ uint64(resp.FI[i])) * fnvPrime
+		}
+		h = (h ^ uint64(resp.CPU)) * fnvPrime
+		if resp.Cold {
+			h = (h ^ 1) * fnvPrime
+		}
+		h = (h ^ math.Float64bits(resp.BilledMS)) * fnvPrime
+		h = (h ^ uint64(ch.env.Now().UnixNano())) * fnvPrime
+		ch.checksum = ch.checksum*fnvPrime ^ h
+		if resp.OK() {
+			ch.completed++
+		}
+		// Jittered think time: nanosecond-granular so no two zones'
+		// events collide on the same instant (which would make event
+		// order — and thus replay — depend on tie-breaking).
+		gap := 2*time.Millisecond + time.Duration(int64(ch.rand.Intn(int(2*time.Millisecond))))
+		ch.env.Schedule(gap, step)
+	}
+	step = func() {
 		if remaining <= 0 {
 			return
 		}
@@ -332,36 +360,11 @@ func startZoneLoad(cloud *cloudsim.Cloud, ch *meshChain, workers, n, crossEvery 
 			Account:  "ex9",
 			AZ:       target,
 			Function: fn,
-			Work:     cloudsim.SleepBehavior{D: 15 * time.Millisecond},
-		}, func(resp cloudsim.Response) {
-			// Fold the response: FNV-1a over the identifying fields keeps the
-			// checksum sensitive to placement, billing, and timing alike.
-			// Hand-rolled (no fmt, no hash.Hash) — this runs once per
-			// invocation and must stay off the allocator.
-			h := uint64(fnvOffset)
-			for i := 0; i < len(resp.FI); i++ {
-				h = (h ^ uint64(resp.FI[i])) * fnvPrime
-			}
-			h = (h ^ uint64(resp.CPU)) * fnvPrime
-			if resp.Cold {
-				h = (h ^ 1) * fnvPrime
-			}
-			h = (h ^ math.Float64bits(resp.BilledMS)) * fnvPrime
-			h = (h ^ uint64(ch.env.Now().UnixNano())) * fnvPrime
-			ch.checksum = ch.checksum*fnvPrime ^ h
-			if resp.OK() {
-				ch.completed++
-			}
-			// Jittered think time: nanosecond-granular so no two zones'
-			// events collide on the same instant (which would make event
-			// order — and thus replay — depend on tie-breaking).
-			gap := 2*time.Millisecond + time.Duration(int64(ch.rand.Intn(int(2*time.Millisecond))))
-			ch.env.Schedule(gap, func() { step(w) })
-		})
+			Work:     work,
+		}, done)
 	}
 	for w := 0; w < workers; w++ {
-		w := w
 		// Stagger worker starts with the same jittered stream.
-		ch.env.Schedule(time.Duration(ch.rand.Intn(int(5*time.Millisecond)))+time.Duration(w), func() { step(w) })
+		ch.env.Schedule(time.Duration(ch.rand.Intn(int(5*time.Millisecond)))+time.Duration(w), step)
 	}
 }

@@ -129,7 +129,8 @@ func TestRepoClean(t *testing.T) {
 
 // TestHotpathRootsAnnotated pins the //lint:hotpath annotations on the
 // real hot paths: the router's frozen-decision issue path, the simulation
-// kernel's scheduler and event loop, and the admission gate. Deleting one
+// kernel's scheduler and event loop, the admission gate, and the per-
+// invocation cpuinfo render, parse, and SAAF collect. Deleting one
 // of these annotations silently removes hotalloc coverage from that whole
 // call tree, so their presence is load-bearing and asserted here.
 func TestHotpathRootsAnnotated(t *testing.T) {
@@ -145,6 +146,9 @@ func TestHotpathRootsAnnotated(t *testing.T) {
 		"(sim.Env).run",
 		"(admission.Controller).Admit",
 		"(admission.Controller).Done",
+		"cpu.CPUInfo",
+		"cpu.ParseCPUInfo",
+		"saaf.Collect",
 	} {
 		if !have[want] {
 			t.Errorf("missing //lint:hotpath annotation on %s (annotated roots: %v)", want, roots)

@@ -143,15 +143,15 @@ func (m *Mesh) Nearest(az string, memoryMB int, arch cpu.Arch) (Endpoint, bool) 
 	var bestMem int
 	var maxEp Endpoint
 	var maxMem int
-	for k, ep := range m.index {
-		if k.az != az || k.arch != arch {
+	for _, ep := range m.endpoints {
+		if ep.AZ != az || ep.Arch != arch {
 			continue
 		}
-		if k.mem > maxMem {
-			maxMem, maxEp = k.mem, ep
+		if ep.MemoryMB > maxMem {
+			maxMem, maxEp = ep.MemoryMB, ep
 		}
-		if k.mem >= memoryMB && (!found || k.mem < bestMem) {
-			best, bestMem, found = ep, k.mem, true
+		if ep.MemoryMB >= memoryMB && (!found || ep.MemoryMB < bestMem) {
+			best, bestMem, found = ep, ep.MemoryMB, true
 		}
 	}
 	if found {

@@ -7,7 +7,10 @@
 // The inference path is kept honest: Collect receives the raw cpuinfo text
 // the simulated host exposes and must parse the CPU model out of it, exactly
 // as the real SAAF does. Nothing downstream of this package may touch the
-// simulator's ground truth.
+// simulator's ground truth. Collect runs once per simulated invocation, so
+// it stays allocation-free (//lint:hotpath): the text comes from cpu's
+// memo table and the parse walks it in place, which keeps the honest path
+// cheap instead of shortcutting it with the host's true kind.
 package saaf
 
 import (
@@ -43,10 +46,12 @@ type Report struct {
 // Collect builds a report from what a guest observes. cpuinfo is the raw
 // /proc/cpuinfo content; fi and host are the platform-assigned identifiers
 // the guest reads from its environment.
+//
+//lint:hotpath
 func Collect(cpuinfo, fi, host string, cold bool, runtimeMS float64) (Report, error) {
 	kind, procs, err := cpu.ParseCPUInfo(cpuinfo)
 	if err != nil {
-		return Report{}, fmt.Errorf("saaf: %w", err)
+		return Report{}, fmt.Errorf("saaf: %w", err) //lint:allow hotalloc -- error branch: cpuinfo without a catalogued model
 	}
 	info := cpu.MustLookup(kind)
 	r := Report{

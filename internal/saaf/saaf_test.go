@@ -99,3 +99,24 @@ func TestParseRejectsUnknownModel(t *testing.T) {
 		t.Fatal("bad json accepted")
 	}
 }
+
+// TestCollectAllocs: Collect on the text any deployment's instance sees —
+// every catalogued kind at 1..MaxVCPUs vCPUs — allocates nothing, since it
+// runs once per simulated invocation.
+func TestCollectAllocs(t *testing.T) {
+	for _, k := range cpu.Kinds() {
+		for v := 1; v <= cpu.MaxVCPUs; v++ {
+			var r Report
+			var err error
+			allocs := testing.AllocsPerRun(100, func() {
+				r, err = Collect(cpu.CPUInfo(k, v), "fi-1", "vm-1", true, 12.5)
+			})
+			if allocs != 0 {
+				t.Errorf("Collect(CPUInfo(%v, %d)) allocates %.1f/op, budget 0", k, v, allocs)
+			}
+			if err != nil || r.Kind != k || r.VCPUs != v {
+				t.Errorf("Collect(CPUInfo(%v, %d)) = (%v, %d vCPUs, %v)", k, v, r.Kind, r.VCPUs, err)
+			}
+		}
+	}
+}
