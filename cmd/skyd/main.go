@@ -7,7 +7,7 @@
 //	curl -XPOST localhost:8080/v1/characterize -d '{"az":"us-west-1a","polls":6}'
 //	curl -XPOST localhost:8080/v1/profile -d '{"workload":"zipper","zones":["us-west-1a"],"runs":300}'
 //	curl -XPOST localhost:8080/v1/burst -d '{"strategy":"hybrid","workload":"zipper","n":200,"candidates":["us-west-1a","sa-east-1a"]}'
-//	curl localhost:8080/healthz      # liveness: is the sim goroutine pumping?
+//	curl localhost:8080/healthz      # liveness: is the sim loop answering?
 //	curl localhost:8080/metrics      # Prometheus text exposition
 //	curl localhost:8080/metrics.json # same snapshot as JSON
 //
@@ -73,6 +73,21 @@ func loadTenants(src string, m *metrics.Registry) (*tenant.Registry, error) {
 		}
 	}
 	return reg, nil
+}
+
+// newHTTPServer wraps h in an http.Server that bounds every phase of a
+// connection, so no slow or stalled client holds one open indefinitely.
+// Request bodies are small JSON documents; the write bound covers the
+// longest request, a characterization or large burst at a slow speedup.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      5 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 func main() {
@@ -148,11 +163,7 @@ func run(args []string) error {
 	}
 	defer server.Close()
 
-	httpServer := &http.Server{
-		Addr:              *addr,
-		Handler:           server,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	httpServer := newHTTPServer(*addr, server)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpServer.ListenAndServe() }()
 	log.Printf("skyd listening on %s (seed %d, %gx pacing); /metrics, /metrics.json, /healthz live", *addr, *seed, *speedup)

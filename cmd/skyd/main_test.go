@@ -132,6 +132,28 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts checks the listener config bounds every phase of
+// a connection: header read, body read, response write and keep-alive idle.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	for name, got := range map[string]time.Duration{
+		"ReadHeaderTimeout": srv.ReadHeaderTimeout,
+		"ReadTimeout":       srv.ReadTimeout,
+		"WriteTimeout":      srv.WriteTimeout,
+		"IdleTimeout":       srv.IdleTimeout,
+	} {
+		if got <= 0 {
+			t.Errorf("%s = %v, want a positive bound", name, got)
+		}
+	}
+	if srv.ReadTimeout < srv.ReadHeaderTimeout {
+		t.Errorf("ReadTimeout %v shorter than ReadHeaderTimeout %v", srv.ReadTimeout, srv.ReadHeaderTimeout)
+	}
+	if srv.Addr != "127.0.0.1:0" || srv.Handler == nil {
+		t.Errorf("server config lost addr or handler: %q %v", srv.Addr, srv.Handler)
+	}
+}
+
 func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}); err == nil {
 		t.Fatal("bad flag accepted")

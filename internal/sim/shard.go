@@ -118,14 +118,6 @@ func (g *Sharded) Run() error { return g.run(-1) }
 // advances exactly to the horizon.
 func (g *Sharded) RunFor(d time.Duration) error { return g.run(g.maxNow() + d) }
 
-// FinishFast forwards to every shard. Sharded groups never pace against the
-// wall clock, so this only matters for model code that consults the flag.
-func (g *Sharded) FinishFast() {
-	for _, s := range g.shards {
-		s.fastForward.Store(true)
-	}
-}
-
 // Shutdown aborts all live processes on every shard. Safe to call when
 // idle.
 func (g *Sharded) Shutdown() {

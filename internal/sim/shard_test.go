@@ -170,30 +170,6 @@ func TestShardedElapsedAlignsOnDrain(t *testing.T) {
 	}
 }
 
-func TestShardedFinishFastDrains(t *testing.T) {
-	g := NewSharded(epoch, 2, time.Millisecond)
-	logs := buildRing(g, 10)
-	// FinishFast through a member must fan out to every shard and leave the
-	// drain untouched — sharded groups never pace, so the flag is inert for
-	// ordering but must still reach model code that consults it.
-	g.Shard(1).FinishFast()
-	if err := g.Control().Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < g.NumShards(); i++ {
-		if !g.Shard(i).fastForward.Load() {
-			t.Fatalf("shard %d fastForward not set", i)
-		}
-	}
-	total := 0
-	for _, l := range logs {
-		total += len(l)
-	}
-	if total != 2*11 {
-		t.Fatalf("expected %d log lines, got %d", 2*11, total)
-	}
-}
-
 func TestShardedProcsAcrossShards(t *testing.T) {
 	g := NewSharded(epoch, 2, time.Millisecond)
 	server, client := g.Shard(1), g.Control()
@@ -246,13 +222,6 @@ func TestShardedFailureIsDeterministic(t *testing.T) {
 		if err == nil || err.Error() != "shard 1 exploded" {
 			t.Fatalf("trial %d: err = %v, want shard 1 exploded", trial, err)
 		}
-	}
-}
-
-func TestShardedRunPacedRejected(t *testing.T) {
-	g := NewSharded(epoch, 2, time.Millisecond)
-	if err := g.Control().RunPaced(1000); err == nil {
-		t.Fatal("RunPaced on a sharded member should error")
 	}
 }
 

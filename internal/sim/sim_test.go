@@ -307,22 +307,36 @@ func TestTriggerIdempotent(t *testing.T) {
 	}
 }
 
-func TestRunPacedRejectsBadSpeedup(t *testing.T) {
+func TestNextAt(t *testing.T) {
 	e := NewEnv(epoch)
-	if err := e.RunPaced(0); err == nil {
-		t.Fatal("RunPaced(0) accepted")
+	if at, ok := e.NextAt(); ok {
+		t.Fatalf("empty queue reported an event at %v", at)
 	}
-}
-
-func TestRunPacedExecutes(t *testing.T) {
-	e := NewEnv(epoch)
-	ran := false
-	e.Schedule(time.Millisecond, func() { ran = true })
-	if err := e.RunPaced(1e6); err != nil {
+	e.Schedule(5*time.Second, func() {})
+	e.Schedule(2*time.Second, func() {})
+	e.Schedule(9*time.Second, func() {})
+	if at, ok := e.NextAt(); !ok || at != 2*time.Second {
+		t.Fatalf("NextAt = %v, %v; want 2s, true", at, ok)
+	}
+	// A horizon short of the earliest event runs nothing: the clock moves,
+	// the queue does not.
+	if err := e.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if !ran {
-		t.Fatal("paced run skipped event")
+	if at, ok := e.NextAt(); !ok || at != 2*time.Second || e.Elapsed() != time.Second {
+		t.Fatalf("after RunFor(1s): NextAt = %v, %v at %v; want 2s, true at 1s", at, ok, e.Elapsed())
+	}
+	if err := e.RunFor(4 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if at, ok := e.NextAt(); !ok || at != 9*time.Second {
+		t.Fatalf("after RunFor to 5s: NextAt = %v, %v; want 9s, true", at, ok)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("drained queue still reports an event")
 	}
 }
 

@@ -7,12 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"skyfaas/internal/cloudsim"
 	"skyfaas/internal/core"
-	"skyfaas/internal/cpu"
-	"skyfaas/internal/geo"
 	"skyfaas/internal/metrics"
-	"skyfaas/internal/sampler"
 )
 
 // newMetricsServer is newTestServer with an isolated registry, so
@@ -21,27 +17,7 @@ import (
 func newMetricsServer(t *testing.T) (*Server, *metrics.Registry) {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	rt, err := core.New(core.Config{
-		Seed:    9,
-		Metrics: reg,
-		Catalog: []cloudsim.RegionSpec{{
-			Provider: cloudsim.AWS, Name: "t1", Loc: geo.Coord{Lat: 40, Lon: -80},
-			AZs: []cloudsim.AZSpec{
-				{Name: "t1-slow", PoolFIs: 2048,
-					Mix: map[cpu.Kind]float64{cpu.Xeon25: 0.5, cpu.EPYC: 0.5}},
-				{Name: "t1-fast", PoolFIs: 2048,
-					Mix: map[cpu.Kind]float64{cpu.Xeon30: 0.6, cpu.Xeon25: 0.4}},
-			},
-		}},
-		SamplerCfg: sampler.Config{
-			Endpoints: 30, PollSize: 84, Branch: 4,
-			Sleep: 100 * time.Millisecond, InterPollPause: 500 * time.Millisecond,
-		},
-		SkipMesh: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newTestRuntime(t, core.Config{Metrics: reg})
 	s, err := New(Config{Runtime: rt, Speedup: 5e6})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +98,7 @@ func TestMetricsJSON(t *testing.T) {
 }
 
 // TestHealthzLifecycle is the PR's health acceptance criterion: 200 while
-// the pump is live, non-200 after Close.
+// the simulation loop is live, non-200 after Close.
 func TestHealthzLifecycle(t *testing.T) {
 	s, _ := newMetricsServer(t)
 	res, body := do(t, s, "GET", "/healthz", nil)

@@ -4,17 +4,21 @@
 // performance model, and route bursts, all over JSON.
 //
 // Concurrency model: the simulation kernel is single-threaded by design, so
-// the server runs it on one dedicated goroutine and bridges HTTP handlers
-// in through a command queue. A self-rescheduling pump event drains the
-// queue every PumpEvery of virtual time and spawns each command as a
-// cooperative process; handlers block on a reply channel. No handler ever
-// touches the simulation directly.
+// the server runs it on one dedicated goroutine, a wall-anchored pacer, and
+// bridges HTTP handlers in through a command channel. The pacer holds
+// virtual time at Speedup × the wall time since it started: it runs every
+// event that has fallen due at full speed, then sleeps until the next
+// event's wall deadline or a command's arrival, whichever is first. An
+// arriving command starts at once, as a cooperative process at the
+// arrival's virtual instant; its handler blocks on a reply channel. No
+// handler ever touches the simulation directly.
 package skyd
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -34,20 +38,20 @@ var ErrClosed = errors.New("skyd: server closed")
 
 // Config assembles a Server.
 type Config struct {
-	// Runtime is the assembled sky runtime to serve (required).
+	// Runtime is the assembled sky runtime to serve (required). It must
+	// use the single-queue engine: a sharded group is never paced against
+	// the wall clock.
 	Runtime *core.Runtime
-	// Speedup is the virtual-to-wall time ratio (default 1000: one
-	// virtual second per wall millisecond).
+	// Speedup is the virtual-to-wall time ratio the pacer holds (default
+	// 1000: one virtual second per wall millisecond). It must be positive
+	// and finite.
 	Speedup float64
-	// PumpEvery is the virtual-time granularity of command injection
-	// (default 100ms virtual; at the default speedup, 0.1ms wall).
-	PumpEvery time.Duration
 	// Metrics is the registry /metrics serves and HTTP instrumentation
 	// reports into (default: the runtime's registry, so one scrape covers
 	// the HTTP layer, the router, and the simulated cloud).
 	Metrics *metrics.Registry
 	// HealthTimeout bounds how long /healthz waits for the simulation
-	// goroutine to answer before reporting the pump stalled (default 5s).
+	// goroutine to answer before reporting the loop stalled (default 5s).
 	HealthTimeout time.Duration
 	// Refresh, when non-nil, enables the continuous characterization-
 	// maintenance control loop on the runtime and starts it with the
@@ -84,9 +88,10 @@ type Config struct {
 type Server struct {
 	rt            *core.Runtime
 	speedup       float64
-	pumpEvery     time.Duration
 	metrics       *metrics.Registry
 	queueDepth    *metrics.Gauge
+	cmdWait       *metrics.Histogram
+	pacingLag     *metrics.Gauge
 	healthTimeout time.Duration
 
 	// refresher is the maintenance loop the server owns the lifecycle of
@@ -123,11 +128,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Runtime == nil {
 		return nil, fmt.Errorf("skyd: nil runtime")
 	}
+	if cfg.Runtime.Env().Group() != nil {
+		return nil, errors.New("skyd: a sharded runtime cannot be paced; serve a single-queue runtime")
+	}
 	if cfg.Speedup == 0 {
 		cfg.Speedup = 1000
 	}
-	if cfg.PumpEvery == 0 {
-		cfg.PumpEvery = 100 * time.Millisecond
+	if !(cfg.Speedup > 0) || math.IsInf(cfg.Speedup, 1) {
+		return nil, fmt.Errorf("skyd: speedup %v, want positive and finite", cfg.Speedup)
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = cfg.Runtime.Metrics()
@@ -138,7 +146,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		rt:            cfg.Runtime,
 		speedup:       cfg.Speedup,
-		pumpEvery:     cfg.PumpEvery,
 		metrics:       cfg.Metrics,
 		healthTimeout: cfg.HealthTimeout,
 		mux:           http.NewServeMux(),
@@ -149,6 +156,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.queueDepth = s.metrics.Gauge("sky_skyd_cmd_queue_depth",
 		"commands enqueued for the simulation goroutine but not yet started")
+	s.cmdWait = s.metrics.Histogram("sky_skyd_cmd_wait_ms",
+		"wall time from Exec submit to the command's process start in milliseconds", cmdWaitBuckets)
+	s.pacingLag = s.metrics.Gauge("sky_skyd_pacing_lag_ms",
+		"virtual milliseconds the simulation trails its wall-clock target after a catch-up")
 	// Arm the maintenance loop before the simulation goroutine starts: the
 	// environment is not yet running, so scheduling its first tick here is
 	// single-threaded and safe.
@@ -193,39 +204,62 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// loop owns the simulation: it pumps queued commands into the environment
-// and paces virtual time against the wall clock.
+// loop owns the simulation as a wall-anchored pacer. Virtual time targets
+// virt0 + Speedup × (wall time since wall0); each pass runs every event due
+// by the target at full speed, so a late wake-up is absorbed by the next
+// catch-up instead of accumulating, and an idle server wakes only for real
+// events. A model failure ends the loop; pending commands then answer
+// ErrClosed.
 func (s *Server) loop() {
 	defer close(s.done)
 	env := s.rt.Env()
-	var pump func()
-	pump = func() {
-		select {
-		case <-s.stop:
-			// Do not reschedule: outstanding work drains, then Run ends.
-			return
-		default:
-		}
-		for {
-			select {
-			case fn := <-s.cmds:
-				s.queueDepth.Dec()
-				fn2 := fn
-				env.Go("skyd-cmd", func(p *sim.Proc) error {
-					fn2(p)
-					return nil
-				})
-				continue
-			default:
-			}
-			break
-		}
-		env.Schedule(s.pumpEvery, pump)
+	wall0, virt0 := time.Now(), env.Elapsed()
+	target := func() time.Duration {
+		return virt0 + time.Duration(float64(time.Since(wall0))*s.speedup)
 	}
-	env.Schedule(0, pump)
-	// The pacing error is unreachable for positive speedups; a failure
-	// inside the model surfaces through the pending command replies.
-	_ = env.RunPaced(s.speedup)
+	catchUp := func() error { return env.RunFor(max(target()-env.Elapsed(), 0)) }
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	for {
+		if catchUp() != nil {
+			return
+		}
+		s.pacingLag.Set(float64(target()-env.Elapsed()) / float64(time.Millisecond))
+		var due <-chan time.Time
+		if at, ok := env.NextAt(); ok {
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(time.Until(wall0.Add(time.Duration(float64(at-virt0) / s.speedup))))
+			due = timer.C
+		}
+		select {
+		case fn := <-s.cmds:
+			// Start the command at its arrival's virtual instant: first
+			// run what fell due before it, then the command itself until
+			// it blocks.
+			if catchUp() != nil {
+				return
+			}
+			s.queueDepth.Dec()
+			env.Go("skyd-cmd", func(p *sim.Proc) error {
+				fn(p)
+				return nil
+			})
+			if env.RunFor(0) != nil {
+				return
+			}
+		case <-due:
+		case <-s.stop:
+			// Outstanding work, including the pre-scheduled drift
+			// timeline, drains at full speed.
+			_ = env.Run()
+			return
+		}
+	}
 }
 
 // Exec runs fn as a simulation process and blocks until it finishes.
@@ -237,11 +271,13 @@ func (s *Server) Exec(fn func(p *sim.Proc) error) error {
 	}
 	s.mu.Unlock()
 	reply := make(chan error, 1)
-	// Inc before the send so the pump's matching Dec can never land first
+	// Inc before the send so the loop's matching Dec can never land first
 	// and leave the gauge transiently negative.
 	s.queueDepth.Inc()
+	submit := time.Now()
 	select {
 	case s.cmds <- func(p *sim.Proc) {
+		s.cmdWait.Observe(float64(time.Since(submit)) / float64(time.Millisecond))
 		reply <- fn(p)
 	}:
 	case <-s.done:
@@ -267,8 +303,8 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	// Stop the maintenance tick first (atomic flag, safe cross-thread):
-	// RunPaced only returns once the event queue drains, and a live
-	// self-rescheduling tick would keep it full forever.
+	// the loop's final drain only returns once the event queue empties, and
+	// a live self-rescheduling tick would keep it full forever.
 	if s.refresher != nil {
 		s.refresher.Stop()
 	}
@@ -276,12 +312,6 @@ func (s *Server) Close() {
 		s.warmer.Stop()
 	}
 	close(s.stop)
-	// Drop the real-time pacing for the remaining queue: the cloud
-	// pre-schedules its whole drift timeline (HorizonDays of events), which
-	// at production speedups would otherwise pace out for hours before
-	// RunPaced drains. Outstanding work still runs to completion, just at
-	// full speed.
-	s.rt.Env().FinishFast()
 	s.mu.Unlock()
 	<-s.done
 }
@@ -300,6 +330,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // httpBuckets extends the default layout downward: handlers answering from
 // warm state finish in well under a millisecond of wall time.
 var httpBuckets = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
+
+// cmdWaitBuckets spans 10µs to about 0.7s: a command normally starts
+// within microseconds of its submit.
+var cmdWaitBuckets = metrics.ExpBuckets(0.01, 4, 9)
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -22,32 +22,44 @@ import (
 // pacing so HTTP tests finish in milliseconds of wall time.
 func newTestServer(t *testing.T) *Server {
 	t.Helper()
-	rt, err := core.New(core.Config{
-		Seed: 9,
-		Catalog: []cloudsim.RegionSpec{{
-			Provider: cloudsim.AWS, Name: "t1", Loc: geo.Coord{Lat: 40, Lon: -80},
-			AZs: []cloudsim.AZSpec{
-				{Name: "t1-slow", PoolFIs: 2048,
-					Mix: map[cpu.Kind]float64{cpu.Xeon25: 0.5, cpu.EPYC: 0.5}},
-				{Name: "t1-fast", PoolFIs: 2048,
-					Mix: map[cpu.Kind]float64{cpu.Xeon30: 0.6, cpu.Xeon25: 0.4}},
-			},
-		}},
-		SamplerCfg: sampler.Config{
-			Endpoints: 30, PollSize: 84, Branch: 4,
-			Sleep: 100 * time.Millisecond, InterPollPause: 500 * time.Millisecond,
-		},
-		SkipMesh: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Runtime: rt, Speedup: 5e6})
+	return newPacedServer(t, 5e6)
+}
+
+// newPacedServer is newTestServer at a chosen speedup.
+func newPacedServer(t *testing.T, speedup float64) *Server {
+	t.Helper()
+	s, err := New(Config{Runtime: newTestRuntime(t, core.Config{}), Speedup: speedup})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
 	return s
+}
+
+// newTestRuntime builds the tiny two-zone world over cfg, which supplies
+// any other settings (registry, shard count).
+func newTestRuntime(t *testing.T, cfg core.Config) *core.Runtime {
+	t.Helper()
+	cfg.Seed = 9
+	cfg.Catalog = []cloudsim.RegionSpec{{
+		Provider: cloudsim.AWS, Name: "t1", Loc: geo.Coord{Lat: 40, Lon: -80},
+		AZs: []cloudsim.AZSpec{
+			{Name: "t1-slow", PoolFIs: 2048,
+				Mix: map[cpu.Kind]float64{cpu.Xeon25: 0.5, cpu.EPYC: 0.5}},
+			{Name: "t1-fast", PoolFIs: 2048,
+				Mix: map[cpu.Kind]float64{cpu.Xeon30: 0.6, cpu.Xeon25: 0.4}},
+		},
+	}}
+	cfg.SamplerCfg = sampler.Config{
+		Endpoints: 30, PollSize: 84, Branch: 4,
+		Sleep: 100 * time.Millisecond, InterPollPause: 500 * time.Millisecond,
+	}
+	cfg.SkipMesh = true
+	rt, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
 }
 
 func do(t *testing.T, s *Server, method, path string, body any) (*http.Response, []byte) {
