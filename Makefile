@@ -16,39 +16,16 @@ BENCH_PATTERN ?= .
 BENCH_GATE_PATTERN = BenchmarkRouteHotPath$$|BenchmarkShardedMesh$$|BenchmarkSkylintModule$$|BenchmarkWarmPoolTick$$
 BENCH_BASELINES = -baseline BENCH_route.json -baseline BENCH_mesh.json -baseline BENCH_warmpool.json
 
-.PHONY: all build vet fmt-check lint lint-fixtures test race ci smoke-ex6 smoke-ex7 smoke-ex8 smoke-ex10 smoke-ex11 bench bench-check bench-baseline reproduce serve clean
+.PHONY: all build vet fmt-check lint lint-fixtures test race ci smoke bench bench-check bench-baseline reproduce serve clean
 
 all: build vet lint test
 
-ci: build vet fmt-check lint test race smoke-ex6 smoke-ex7 smoke-ex8 smoke-ex10 smoke-ex11 bench-check
+ci: build vet fmt-check lint test race smoke bench-check
 
-# One reduced EX-6 pass: proves the chaos layer, resilient routing, and the
-# strategy registry compose end to end outside the test harness.
-smoke-ex6:
-	$(GO) run ./cmd/skybench -ex ex6 -scale reduced
-
-# One reduced EX-7 pass: proves the drift detector, refresh scheduler, and
-# budget governor compose end to end outside the test harness.
-smoke-ex7:
-	$(GO) run ./cmd/skybench -ex ex7 -scale reduced
-
-# One reduced EX-8 pass: proves the admission gate, the open-loop load
-# schedule, and the overload frontier compose end to end outside the test
-# harness.
-smoke-ex8:
-	$(GO) run ./cmd/skybench -ex ex8 -scale reduced
-
-# One reduced EX-10 pass: proves the tenant quota governors, the global
-# admission gate, and the fairness comparison compose end to end outside the
-# test harness.
-smoke-ex10:
-	$(GO) run ./cmd/skybench -ex ex10 -scale reduced
-
-# One reduced EX-11 pass: proves the warm-pool forecaster, the budget
-# governor, and the pre-warm actuator compose end to end outside the test
-# harness.
-smoke-ex11:
-	$(GO) run ./cmd/skybench -ex ex11 -scale reduced
+# One reduced pass over every registered experiment (table1, EX-1..EX-11):
+# proves each composes end to end outside the test harness.
+smoke:
+	$(GO) run ./cmd/skybench -ex all -scale reduced
 
 build:
 	$(GO) build ./...

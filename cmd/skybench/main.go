@@ -19,8 +19,6 @@ import (
 	"skyfaas/internal/experiments"
 	"skyfaas/internal/metrics"
 	"skyfaas/internal/router"
-	"skyfaas/internal/tablefmt"
-	"skyfaas/internal/workload"
 )
 
 func main() {
@@ -30,179 +28,12 @@ func main() {
 	}
 }
 
-// benchOpts carries the parsed flags into each experiment runner.
-type benchOpts struct {
-	seed          uint64
-	reduced       bool
-	profileRuns   int
-	days          int
-	csvDir        string
-	ex6Strategies string
-}
-
-// csvWriter is the piece of each result the -csvdir flag consumes.
-type csvWriter interface{ WriteCSV(dir string) error }
-
-// renderCSV renders a result and optionally writes its dataset.
-func renderCSV(o benchOpts, res interface {
-	csvWriter
-	Render() string
-}, err error) (string, error) {
-	if err != nil {
-		return "", err
-	}
-	if o.csvDir != "" {
-		if err := res.WriteCSV(o.csvDir); err != nil {
-			return "", err
-		}
-	}
-	return res.Render(), nil
-}
-
-// experiment is one runnable entry. The registry below is the single source
-// of truth: the -ex help text, the "all" set, and the dispatch loop are all
-// derived from it, so a new experiment registers itself exactly once.
-type experiment struct {
-	name string
-	run  func(o benchOpts) (string, error)
-}
-
-func registry() []experiment {
-	return []experiment{
-		{"table1", func(benchOpts) (string, error) {
-			t := tablefmt.New("Function", "vCPUs", "BaseMS", "Description")
-			for _, s := range workload.All() {
-				t.Row(s.Name, s.VCPUs, s.BaseMS, s.Description)
-			}
-			return "Table 1 — workload catalog\n" + t.String(), nil
-		}},
-		{"ex1", func(o benchOpts) (string, error) {
-			cfg := experiments.EX1Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX1(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex2", func(o benchOpts) (string, error) {
-			cfg := experiments.EX2Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX2(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex3", func(o benchOpts) (string, error) {
-			cfg := experiments.EX3Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX3(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex4", func(o benchOpts) (string, error) {
-			cfg := experiments.EX4Config{Seed: o.seed}
-			if o.days > 0 {
-				cfg.Rounds = o.days
-			}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX4(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex5", func(o benchOpts) (string, error) {
-			cfg := experiments.EX5Config{Seed: o.seed}
-			if o.days > 0 {
-				cfg.Days = o.days
-			}
-			if o.profileRuns > 0 {
-				cfg.ProfileRuns = o.profileRuns
-			}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX5(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex6", func(o benchOpts) (string, error) {
-			cfg := experiments.EX6Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			if o.ex6Strategies != "" {
-				cfg.Arms = experiments.DefaultEX6Arms()
-				for _, name := range strings.Split(o.ex6Strategies, ",") {
-					name = strings.TrimSpace(name)
-					// Validate up front so a typo fails with the registry's
-					// name listing instead of mid-experiment; the placeholder
-					// AZ satisfies pinned strategies and is re-resolved to the
-					// chaos target inside each cell.
-					if _, err := router.Build(router.StrategySpec{Name: name, AZ: "us-west-1b"}); err != nil {
-						return "", err
-					}
-					cfg.Arms = append(cfg.Arms, experiments.EX6Arm{
-						Label:      name,
-						Strategy:   router.StrategySpec{Name: name},
-						Resilience: router.DefaultResilience(),
-					})
-				}
-			}
-			res, err := experiments.RunEX6(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex7", func(o benchOpts) (string, error) {
-			cfg := experiments.EX7Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX7(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex8", func(o benchOpts) (string, error) {
-			cfg := experiments.EX8Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX8(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex9", func(o benchOpts) (string, error) {
-			cfg := experiments.EX9Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX9(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex10", func(o benchOpts) (string, error) {
-			cfg := experiments.EX10Config{Seed: o.seed}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX10(cfg)
-			return renderCSV(o, res, err)
-		}},
-		{"ex11", func(o benchOpts) (string, error) {
-			cfg := experiments.EX11Config{Seed: o.seed}
-			if o.profileRuns > 0 {
-				cfg.ProfileRuns = o.profileRuns
-			}
-			if o.reduced {
-				cfg = cfg.Reduced()
-			}
-			res, err := experiments.RunEX11(cfg)
-			return renderCSV(o, res, err)
-		}},
-	}
-}
-
 // experimentNames lists the registry in run order.
 func experimentNames() []string {
-	exps := registry()
+	exps := experiments.All()
 	names := make([]string, len(exps))
 	for i, e := range exps {
-		names[i] = e.name
+		names[i] = e.Name
 	}
 	return names
 }
@@ -221,8 +52,8 @@ func run(args []string) error {
 	ex6Strategies := fs.String("ex6-strategies", "", "extra EX-6 arms: comma-separated strategy names (see router.Names), run with default resilience")
 	seed := fs.Uint64("seed", 42, "simulation seed (equal seeds replay exactly)")
 	scale := fs.String("scale", "full", "full | reduced")
-	profileRuns := fs.Int("profile-runs", 0, "EX-5 profiling executions per workload per zone (0 = default)")
-	days := fs.Int("days", 0, "EX-4/EX-5 evaluation days (0 = paper's 14)")
+	profileRuns := fs.Int("profile-runs", 0, "EX-5/EX-11 profiling executions per workload per zone (0 = the scale's default)")
+	days := fs.Int("days", 0, "EX-4 rounds and EX-5 evaluation days (0 = the scale's default; the paper's is 14)")
 	csvDir := fs.String("csvdir", "", "also write each figure's dataset as CSV into this directory")
 	dumpMetrics := fs.Bool("metrics", false, "dump a Prometheus-text metrics snapshot covering all experiments after the run")
 	if err := fs.Parse(args); err != nil {
@@ -246,24 +77,43 @@ func run(args []string) error {
 	}
 	all := want["all"]
 
-	o := benchOpts{
-		seed:          *seed,
-		reduced:       *scale == "reduced",
-		profileRuns:   *profileRuns,
-		days:          *days,
-		csvDir:        *csvDir,
-		ex6Strategies: *ex6Strategies,
+	o := experiments.Options{
+		Seed:        *seed,
+		Reduced:     *scale == "reduced",
+		ProfileRuns: *profileRuns,
+		Days:        *days,
 	}
-	for _, e := range registry() {
-		if !all && !want[e.name] {
+	if *ex6Strategies != "" {
+		o.EX6Arms = experiments.DefaultEX6Arms()
+		for _, name := range strings.Split(*ex6Strategies, ",") {
+			name = strings.TrimSpace(name)
+			// Validate up front so a typo fails with the registry's name
+			// listing instead of mid-experiment; the placeholder AZ
+			// satisfies pinned strategies and is re-resolved to the chaos
+			// target inside each cell.
+			if _, err := router.Build(router.StrategySpec{Name: name, AZ: "us-west-1b"}); err != nil {
+				return err
+			}
+			o.EX6Arms = append(o.EX6Arms, experiments.EX6Arm{
+				Label:      name,
+				Strategy:   router.StrategySpec{Name: name},
+				Resilience: router.DefaultResilience(),
+			})
+		}
+	}
+	for _, e := range experiments.All() {
+		if !all && !want[e.Name] {
 			continue
 		}
 		start := time.Now()
-		out, err := e.run(o)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.name, err)
+		res, err := e.Run(o)
+		if err == nil && *csvDir != "" {
+			err = res.WriteCSV(*csvDir)
 		}
-		fmt.Printf("==== %s (%s, seed %d, %.1fs) ====\n%s\n", e.name, *scale, *seed, time.Since(start).Seconds(), out)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.Name, err)
+		}
+		fmt.Printf("==== %s (%s, seed %d, %.1fs) ====\n%s\n", e.Name, *scale, *seed, time.Since(start).Seconds(), res.Render())
 	}
 
 	if *dumpMetrics {

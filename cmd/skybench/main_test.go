@@ -161,3 +161,25 @@ func TestRunEx9Dispatch(t *testing.T) {
 		t.Errorf("csv not written: %v", err)
 	}
 }
+
+// TestRunReducedDaysOverride: -days must win over the reduced preset, which
+// would otherwise reset EX-4 to its five rounds per zone.
+func TestRunReducedDaysOverride(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-ex", "ex4", "-scale", "reduced", "-days", "2"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, zone := range []string{"us-west-1a", "sa-east-1a"} {
+		rounds := 0
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, zone+" ") {
+				rounds++
+			}
+		}
+		if rounds != 2 {
+			t.Errorf("%s rendered %d rounds, want 2:\n%s", zone, rounds, out)
+		}
+	}
+}

@@ -57,14 +57,18 @@ func RunAblationFanout(seed uint64) (AblationFanoutResult, error) {
 
 		// Flat fan-out: the client holds every request itself.
 		client := rt.Client()
-		responses := client.InvokeBatch(p, faas.Call{
+		call := faas.Call{
 			AZ:       az,
 			Function: flatEndpointName(s, az),
 			Work:     cloudsim.SleepBehavior{D: s.Config().Sleep},
-		}, tree.Requested)
-		seen := make(map[string]struct{}, len(responses))
-		for _, r := range responses {
-			if r.OK() {
+		}
+		futures := make([]*faas.Future, tree.Requested)
+		for i := range futures {
+			futures[i] = client.InvokeAsync(call)
+		}
+		seen := make(map[string]struct{}, len(futures))
+		for _, f := range futures {
+			if r := f.Wait(p); r.OK() {
 				seen[r.FI] = struct{}{}
 			}
 		}
@@ -117,14 +121,11 @@ func RunAblationPassive(seed uint64) (AblationPassiveResult, error) {
 	zones := []string{"us-west-1a", "us-west-1b", "sa-east-1a"}
 	run := func(passive bool) (float64, float64, error) {
 		rt, err := core.New(core.Config{
-			Seed:  seed,
-			Epoch: defaultEpoch,
-			SamplerCfg: sampler.Config{
-				Endpoints: 60, PollSize: 222, Branch: 10,
-				InterPollPause: 500 * time.Millisecond,
-			},
-			CloudOpts: cloudsim.Options{HorizonDays: days + 2},
-			SkipMesh:  true,
+			Seed:       seed,
+			Epoch:      defaultEpoch,
+			SamplerCfg: reducedSampler(),
+			CloudOpts:  cloudsim.Options{HorizonDays: days + 2},
+			SkipMesh:   true,
 		})
 		if err != nil {
 			return 0, 0, err
@@ -208,15 +209,12 @@ func RunAblationStaleProfile(seed uint64) (AblationStaleResult, error) {
 	zones := []string{"us-west-1a", "us-west-1b", "sa-east-1a"}
 	run := func(refreshDaily bool) (float64, error) {
 		rt, err := core.New(core.Config{
-			Seed:  seed,
-			Epoch: defaultEpoch,
-			SamplerCfg: sampler.Config{
-				Endpoints: 60, PollSize: 222, Branch: 10,
-				InterPollPause: 500 * time.Millisecond,
-			},
-			CloudOpts: cloudsim.Options{HorizonDays: days + 2},
-			StoreTTL:  1000 * time.Hour, // stale mode relies on old entries staying visible
-			SkipMesh:  true,
+			Seed:       seed,
+			Epoch:      defaultEpoch,
+			SamplerCfg: reducedSampler(),
+			CloudOpts:  cloudsim.Options{HorizonDays: days + 2},
+			StoreTTL:   1000 * time.Hour, // stale mode relies on old entries staying visible
+			SkipMesh:   true,
 		})
 		if err != nil {
 			return 0, err

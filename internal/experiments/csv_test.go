@@ -153,3 +153,13 @@ func TestSavingsSeriesMath(t *testing.T) {
 		t.Error("empty series cumulative != 0")
 	}
 }
+
+// csvLines reads a dataset and checks it is a header plus cells rows.
+func csvLines(t *testing.T, dir, name string, cells int) []string {
+	t.Helper()
+	rows := strings.Split(strings.TrimSuffix(readCSV(t, dir, name), "\n"), "\n")
+	if cells == 0 || len(rows) != cells+1 {
+		t.Fatalf("%s: %d lines for %d cells, want a header plus one row per cell", name, len(rows), cells)
+	}
+	return rows
+}

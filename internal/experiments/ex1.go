@@ -56,10 +56,7 @@ func (c EX1Config) Reduced() EX1Config {
 	c.AZ = "eu-north-1a"
 	c.Sleeps = []time.Duration{50 * time.Millisecond, 250 * time.Millisecond, time.Second}
 	c.MemoriesMB = []int{2048}
-	c.Sampler = sampler.Config{
-		Endpoints: 60, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
+	c.Sampler = reducedSampler()
 	return c
 }
 

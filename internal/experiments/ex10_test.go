@@ -76,38 +76,18 @@ func TestEX10GoldenFairness(t *testing.T) {
 	}
 }
 
-// TestEX10Deterministic: equal seeds replay all three arms exactly.
-func TestEX10Deterministic(t *testing.T) {
-	cfg := EX10Config{Seed: 7}.Reduced()
-	a, err := RunEX10(cfg)
+// TestEX10SeedSensitivity: the arms depend on the seed. Same-seed and
+// sharded replay are TestExperimentRegistry's job.
+func TestEX10SeedSensitivity(t *testing.T) {
+	a, err := RunEX10(EX10Config{Seed: 7}.Reduced())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEX10(cfg)
+	b, err := RunEX10(EX10Config{Seed: 8}.Reduced())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different result:\n%+v\n%+v", a, b)
-	}
-	cfg.Seed = 8
-	c, err := RunEX10(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.Cells, c.Cells) {
+	if reflect.DeepEqual(a.Cells, b.Cells) {
 		t.Fatal("different seeds produced identical cells")
-	}
-}
-
-// TestEX10CSV exercises the dataset writer.
-func TestEX10CSV(t *testing.T) {
-	res, err := RunEX10(EX10Config{Seed: 42}.Reduced())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := res.WriteCSV(dir); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -112,48 +112,18 @@ func TestEX11GoldenWarmPool(t *testing.T) {
 	}
 }
 
-// TestEX11Deterministic: equal seeds replay all six arms exactly, and the
-// sharded engine replays the single-queue result byte-identically.
-func TestEX11Deterministic(t *testing.T) {
-	cfg := EX11Config{Seed: 7}.Reduced()
-	a, err := RunEX11(cfg)
+// TestEX11SeedSensitivity: the arms depend on the seed. Same-seed and
+// sharded replay are TestExperimentRegistry's job.
+func TestEX11SeedSensitivity(t *testing.T) {
+	a, err := RunEX11(EX11Config{Seed: 7}.Reduced())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEX11(cfg)
+	b, err := RunEX11(EX11Config{Seed: 8}.Reduced())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different result:\n%+v\n%+v", a, b)
-	}
-	cfg.Shards = 2
-	c, err := RunEX11(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, c) {
-		t.Fatalf("sharded engine diverged from single queue:\n%+v\n%+v", a, c)
-	}
-	cfg.Shards = 0
-	cfg.Seed = 8
-	d, err := RunEX11(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(a.Cells, d.Cells) {
+	if reflect.DeepEqual(a.Cells, b.Cells) {
 		t.Fatal("different seeds produced identical cells")
-	}
-}
-
-// TestEX11CSV exercises the dataset writer.
-func TestEX11CSV(t *testing.T) {
-	res, err := RunEX11(EX11Config{Seed: 42}.Reduced())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := res.WriteCSV(dir); err != nil {
-		t.Fatal(err)
 	}
 }

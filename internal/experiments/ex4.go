@@ -68,10 +68,7 @@ func (c EX4Config) Reduced() EX4Config {
 	c.Rounds = 5
 	c.HourlyAZ = "us-west-1b"
 	c.HourlyRounds = 6
-	c.Sampler = sampler.Config{
-		Endpoints: 60, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
+	c.Sampler = reducedSampler()
 	return c
 }
 

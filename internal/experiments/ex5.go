@@ -81,10 +81,7 @@ func (c EX5Config) Reduced() EX5Config {
 	c.BurstN = 200
 	c.RefreshPolls = 3
 	c.Workloads = []workload.ID{workload.Zipper, workload.LogisticRegression, workload.GraphBFS}
-	c.Sampler = sampler.Config{
-		Endpoints: 60, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
+	c.Sampler = reducedSampler()
 	return c
 }
 

@@ -124,10 +124,7 @@ func (c EX6Config) Reduced() EX6Config {
 	c.BurstN = 150
 	c.ProfileRuns = 450
 	c.RefreshPolls = 3
-	c.Sampler = sampler.Config{
-		Endpoints: 60, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
+	c.Sampler = reducedSampler()
 	return c
 }
 

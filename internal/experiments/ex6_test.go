@@ -82,7 +82,8 @@ func TestEX6Reduced(t *testing.T) {
 }
 
 // TestEX6Determinism: two same-seed runs must agree bit for bit — the
-// acceptance criterion for the whole chaos layer.
+// acceptance criterion for the whole chaos layer. Seed 7 is one the
+// registry golden does not pin.
 func TestEX6Determinism(t *testing.T) {
 	a, b := runEX6Reduced(t, 7), runEX6Reduced(t, 7)
 	if !reflect.DeepEqual(a, b) {
@@ -90,10 +91,21 @@ func TestEX6Determinism(t *testing.T) {
 	}
 }
 
+// TestEX6CSV: the dataset holds the header and one row per cell, in cell
+// order, at a seed the registry golden does not pin.
 func TestEX6CSV(t *testing.T) {
-	res := runEX6Reduced(t, 42)
+	res := runEX6Reduced(t, 7)
 	dir := t.TempDir()
 	if err := res.WriteCSV(dir); err != nil {
 		t.Fatal(err)
+	}
+	rows := csvLines(t, dir, "ex6_resilience.csv", len(res.Cells))
+	if !strings.HasPrefix(rows[0], "scenario,arm,target_az,final_az,success_rate,") {
+		t.Errorf("header: %q", rows[0])
+	}
+	for i, c := range res.Cells {
+		if want := c.Scenario + "," + c.Arm + ","; !strings.HasPrefix(rows[i+1], want) {
+			t.Errorf("row %d = %q, want prefix %q", i+1, rows[i+1], want)
+		}
 	}
 }

@@ -158,10 +158,7 @@ func (c EX7Config) Reduced() EX7Config {
 	c.Bursts = 8
 	c.ProfileRuns = 450
 	c.InitPolls = 3
-	c.Sampler = sampler.Config{
-		Endpoints: 60, PollSize: 222, Branch: 10,
-		InterPollPause: 500 * time.Millisecond,
-	}
+	c.Sampler = reducedSampler()
 	return c
 }
 

@@ -1,10 +1,12 @@
-// Package experiments reproduces the paper's five experiments (§3.5) on the
-// simulated sky. Each experiment builds its own deterministic world from a
-// seed, runs the paper's procedure, and returns the data behind the
-// corresponding tables and figures, with Render methods producing
-// paper-style text output.
+// Package experiments reproduces the paper's evaluation (§3.5: Table 1 and
+// EX-1..EX-5) and the extensions EX-6..EX-11 on the simulated sky. Each
+// experiment builds its own deterministic world from a seed, runs its
+// procedure, and returns a Result: paper-style text from Render and the
+// datasets behind it from WriteCSV.
 //
-// Every Run* function accepts a config whose zero value is the full
+// All() is the registry. skybench, the golden and shard-invariance test
+// (TestExperimentRegistry), and `make smoke` iterate it. Every Run*
+// function also accepts its own config, whose zero value is the full
 // paper-scale procedure; the Reduced() presets cut scale for benchmarks.
 package experiments
 
@@ -31,6 +33,12 @@ func EX3Zones() []string {
 		"eu-central-1a", "ap-southeast-2a", "us-west-1a", "us-west-1b",
 		"us-east-2a", "us-east-2b", "us-east-2c",
 	}
+}
+
+// reducedSampler is the benchmark-scale sampler that the Reduced presets of
+// EX-1 and EX-3..EX-7 and the ablations share.
+func reducedSampler() sampler.Config {
+	return sampler.Config{Endpoints: 60, PollSize: 222, Branch: 10, InterPollPause: 500 * time.Millisecond}
 }
 
 // newRuntime builds an experiment world. Experiments only need the minimal

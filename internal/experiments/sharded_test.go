@@ -1,110 +1,48 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
-// TestShardedExperimentsMatchSingleQueue is the end-to-end determinism
-// contract for the sharded engine: every experiment, run on its reduced
-// config, must render byte-identical output whether the world runs on the
-// single-queue engine (Shards: 0) or the conservative sharded engine. The
-// paper's replay guarantee (§3.5 methodology) survives parallel execution
-// because all cross-shard interactions travel with at least the lookahead
-// window of simulated latency.
+// TestShardedExperimentsMatchSingleQueue checks shard invariance at a
+// second seed, beside the seed-42 goldens of TestExperimentRegistry, for
+// the experiments that inject faults (EX-6), refresh on drift (EX-7) and
+// shed load at the admission gate (EX-8). Each registry entry runs on the
+// single-queue engine and twice on the sharded one: all three results must
+// be deeply equal, so neither the engine nor parallel shard scheduling can
+// leak into a replay.
 func TestShardedExperimentsMatchSingleQueue(t *testing.T) {
 	const shards = 4
-	cases := []struct {
-		name string
-		run  func(shardCount int) (string, error)
-	}{
-		{"EX1", func(n int) (string, error) {
-			cfg := EX1Config{Seed: 5, Shards: n}.Reduced()
-			res, err := RunEX1(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"EX2", func(n int) (string, error) {
-			cfg := EX2Config{Seed: 5, Shards: n}.Reduced()
-			res, err := RunEX2(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"EX3", func(n int) (string, error) {
-			cfg := EX3Config{Seed: 5, Shards: n}.Reduced()
-			res, err := RunEX3(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"EX4", func(n int) (string, error) {
-			cfg := EX4Config{Seed: 5, Shards: n}.Reduced()
-			res, err := RunEX4(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"EX5", func(n int) (string, error) {
-			cfg := EX5Config{Seed: 5, Shards: n}.Reduced()
-			res, err := RunEX5(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"EX6", func(n int) (string, error) {
-			cfg := EX6Config{Seed: 5, Shards: n}.Reduced()
-			res, err := RunEX6(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"EX7", func(n int) (string, error) {
-			cfg := EX7Config{Seed: 5, Shards: n}.Reduced()
-			res, err := RunEX7(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-		{"EX8", func(n int) (string, error) {
-			cfg := EX8Config{Seed: 5, Shards: n}.Reduced()
-			res, err := RunEX8(cfg)
-			if err != nil {
-				return "", err
-			}
-			return res.Render(), nil
-		}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+	want := map[string]bool{"ex6": true, "ex7": true, "ex8": true}
+	ran := 0
+	for _, e := range All() {
+		if !want[e.Name] {
+			continue
+		}
+		ran++
+		e := e
+		t.Run(strings.ToUpper(e.Name), func(t *testing.T) {
 			t.Parallel()
-			single, err := tc.run(0)
-			if err != nil {
-				t.Fatalf("single-queue run: %v", err)
+			run := func(n int) Result {
+				res, err := e.Run(Options{Seed: 5, Reduced: true, Shards: n})
+				if err != nil {
+					t.Fatalf("%d shards: %v", n, err)
+				}
+				return res
 			}
-			sharded, err := tc.run(shards)
-			if err != nil {
-				t.Fatalf("sharded run: %v", err)
+			single, sharded, again := run(0), run(shards), run(shards)
+			if !reflect.DeepEqual(single, sharded) {
+				t.Errorf("sharded result diverged from single-queue\n--- single-queue ---\n%s\n--- sharded(%d) ---\n%s",
+					single.Render(), shards, sharded.Render())
 			}
-			if single != sharded {
-				t.Errorf("sharded render diverged from single-queue\n--- single-queue ---\n%s\n--- sharded(%d) ---\n%s",
-					single, shards, sharded)
-			}
-			// A second sharded run must also replay exactly: parallel shard
-			// scheduling cannot leak into results.
-			again, err := tc.run(shards)
-			if err != nil {
-				t.Fatalf("sharded replay: %v", err)
-			}
-			if sharded != again {
+			if !reflect.DeepEqual(sharded, again) {
 				t.Error("two sharded runs of the same config diverged")
 			}
 		})
+	}
+	if ran != len(want) {
+		t.Fatalf("registry has %d of the %d experiments this test covers", ran, len(want))
 	}
 }

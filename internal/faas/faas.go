@@ -1,6 +1,7 @@
 // Package faas is the client-side SDK over the simulated cloud: the thin
 // layer an application (or our sampler and router) uses to deploy functions
-// and invoke them synchronously, asynchronously, or in parallel batches.
+// and invoke them: blocking under a retry/hedge/deadline envelope (Do), or
+// as single-attempt futures a process fans out (InvokeAsync).
 //
 // It deliberately mirrors the shape of a real FaaS SDK — an account-scoped
 // client with a network vantage point — so the code above it reads like a
@@ -93,14 +94,6 @@ func (c *Client) request(call Call) cloudsim.Request {
 	}
 }
 
-// Invoke performs a blocking invocation from the calling process.
-//
-// Deprecated: use Do with an InvokeSpec; Invoke is Do with a zero envelope
-// (single attempt, no hedge, no deadline).
-func (c *Client) Invoke(p *sim.Proc, call Call) cloudsim.Response {
-	return c.Do(p, InvokeSpec{Call: call})
-}
-
 // Future is a pending asynchronous invocation.
 type Future struct {
 	ev *sim.Event
@@ -116,12 +109,8 @@ func (f *Future) Wait(p *sim.Proc) cloudsim.Response {
 	return r
 }
 
-// Done reports whether the response has arrived.
-func (f *Future) Done() bool { return f.ev.Triggered() }
-
-// InvokeAsync starts an invocation and returns a Future.
-//
-// Deprecated: use DoAsync with an InvokeSpec.
+// InvokeAsync starts a single-attempt invocation and returns a Future, so
+// a process can fan out many calls and then wait on each.
 func (c *Client) InvokeAsync(call Call) *Future {
 	ev := sim.NewEvent(c.cloud.Env())
 	c.cloud.StartInvoke(c.request(call), func(r cloudsim.Response) { ev.Trigger(r) })
@@ -132,20 +121,4 @@ func (c *Client) InvokeAsync(call Call) *Future {
 // form batch clients use to reissue work the moment a response arrives.
 func (c *Client) Start(call Call, done func(cloudsim.Response)) {
 	c.cloud.StartInvoke(c.request(call), done)
-}
-
-// InvokeBatch issues n copies of call concurrently and returns all
-// responses in completion-independent order (index i is request i).
-//
-// Deprecated: fan out DoAsync calls with an InvokeSpec instead.
-func (c *Client) InvokeBatch(p *sim.Proc, call Call, n int) []cloudsim.Response {
-	futures := make([]*Future, n)
-	for i := range futures {
-		futures[i] = c.InvokeAsync(call)
-	}
-	out := make([]cloudsim.Response, n)
-	for i, f := range futures {
-		out[i] = f.Wait(p)
-	}
-	return out
 }

@@ -8,11 +8,10 @@ import (
 	"skyfaas/internal/sim"
 )
 
-// This file is the redesigned invocation API: every entry point funnels
-// through a single InvokeSpec carrying the call, its deadline, its retry
-// budget, and its hedge policy. The legacy Invoke/InvokeAsync/InvokeBatch
-// forms survive as thin deprecated wrappers so existing call sites (the
-// sampler, the router's profiling path) migrate incrementally.
+// This file holds the resilient invocation path. Do runs one logical
+// invocation under an InvokeSpec: the call plus its deadline, retry budget,
+// and hedge policy. InvokeAsync (faas.go) is the single-attempt fan-out form
+// the sampler and the router's profiler use.
 
 // ErrDeadlineExceeded is returned when an invocation's deadline elapses
 // before any attempt produced a response.
@@ -114,8 +113,7 @@ func (h HedgePolicy) MaxHedges() int {
 func (h HedgePolicy) Enabled() bool { return h.After > 0 }
 
 // InvokeSpec fully describes one logical invocation: the call plus its
-// failure-handling envelope. Construct with NewInvokeSpec and options, or
-// as a literal.
+// failure-handling envelope.
 type InvokeSpec struct {
 	Call Call
 	// Deadline bounds the whole invocation — every attempt, backoff, and
@@ -125,38 +123,6 @@ type InvokeSpec struct {
 	Retry RetryPolicy
 	// Hedge is the tail-latency duplication policy.
 	Hedge HedgePolicy
-}
-
-// InvokeOption configures an InvokeSpec.
-type InvokeOption func(*InvokeSpec)
-
-// WithDeadline bounds the whole invocation in virtual time.
-func WithDeadline(d time.Duration) InvokeOption {
-	return func(s *InvokeSpec) { s.Deadline = d }
-}
-
-// WithRetry sets the transient-failure retry policy.
-func WithRetry(p RetryPolicy) InvokeOption {
-	return func(s *InvokeSpec) { s.Retry = p }
-}
-
-// WithHedge sets the tail-latency hedge policy.
-func WithHedge(p HedgePolicy) InvokeOption {
-	return func(s *InvokeSpec) { s.Hedge = p }
-}
-
-// WithPayloadHash keys the dynamic-function per-instance payload cache.
-func WithPayloadHash(hash string) InvokeOption {
-	return func(s *InvokeSpec) { s.Call.PayloadHash = hash }
-}
-
-// NewInvokeSpec builds a spec for call with the given options.
-func NewInvokeSpec(call Call, opts ...InvokeOption) InvokeSpec {
-	s := InvokeSpec{Call: call}
-	for _, o := range opts {
-		o(&s)
-	}
-	return s
 }
 
 // Retryable reports whether err is a transient platform failure worth
@@ -170,7 +136,7 @@ func Retryable(err error) bool {
 // Do performs one logical invocation under spec's envelope, blocking the
 // calling process: attempts are retried per the retry policy, each attempt
 // may be hedged, and the deadline bounds the whole affair. With a zero
-// envelope it is exactly the legacy blocking Invoke.
+// envelope it is one blocking attempt.
 func (c *Client) Do(p *sim.Proc, spec InvokeSpec) cloudsim.Response {
 	env := c.cloud.Env()
 	start := env.Now()
@@ -240,38 +206,4 @@ func (c *Client) attempt(p *sim.Proc, spec InvokeSpec, remaining time.Duration) 
 		return cloudsim.Response{Err: cloudsim.ErrBadRequest}
 	}
 	return r
-}
-
-// DoAsync starts a logical invocation under spec's envelope and returns a
-// Future. Retries and backoff run on the event queue, not a process, so the
-// caller can fan out thousands of these without goroutines.
-func (c *Client) DoAsync(spec InvokeSpec) *Future {
-	env := c.cloud.Env()
-	ev := sim.NewEvent(env)
-	start := env.Now()
-	budget := spec.Retry.maxAttempts()
-	var issue func(attempt int)
-	issue = func(attempt int) {
-		if spec.Deadline > 0 && env.Now().Sub(start) >= spec.Deadline {
-			ev.Trigger(cloudsim.Response{Err: ErrDeadlineExceeded, Sent: env.Now()})
-			return
-		}
-		c.cloud.StartInvoke(c.request(spec.Call), func(r cloudsim.Response) {
-			if ev.Triggered() {
-				return
-			}
-			if r.OK() || !Retryable(r.Err) || attempt >= budget {
-				ev.Trigger(r)
-				return
-			}
-			env.Schedule(spec.Retry.Backoff(attempt, c.rand), func() { issue(attempt + 1) })
-		})
-	}
-	if spec.Deadline > 0 {
-		env.Schedule(spec.Deadline, func() {
-			ev.Trigger(cloudsim.Response{Err: ErrDeadlineExceeded, Sent: env.Now()})
-		})
-	}
-	issue(1)
-	return &Future{ev: ev}
 }
